@@ -37,6 +37,9 @@ from repro.simssd.device import SimDevice
 from repro.simssd.fs import SimFilesystem
 from repro.simssd.traffic import TrafficKind
 
+#: Keys a scan lists from a partition's index per step.
+SCAN_CHUNK = 64
+
 
 class HyperDB(KVStore):
     """The paper's hybrid key-value store over two simulated devices."""
@@ -299,10 +302,7 @@ class HyperDB(KVStore):
         self.stats.counter("semi_corrupt_blocks").add()
         tier = self.performance_tier
         rescued = harmless = lost = 0
-        keys = sorted(
-            k for k, e in table._key_map.items() if e[0] == block.block_id
-        )
-        for key in keys:
+        for key in sorted(table.keys_in_block(block.block_id)):
             if key in superseded:
                 continue
             partition = tier.partition_for_key(key)
@@ -607,35 +607,56 @@ class HyperDB(KVStore):
     def scan(self, start: bytes, count: int) -> tuple[list[tuple[bytes, bytes]], float]:
         """Range scan, implemented as merged sequential point queries
         (§4.2: HyperDB's scan path; the layout difference between tiers
-        precludes RocksDB-style prefetching)."""
+        precludes RocksDB-style prefetching).
+
+        The NVMe side lists each partition's index in chunks of
+        ``SCAN_CHUNK`` keys, so its index work follows the scan's length.
+        The capacity side is fetched ``2 * count`` records at a time; a
+        further batch is fetched only once the merge has consumed a full
+        one, which happens only when NVMe tombstones shadow its records."""
         self.stats.counter("scans").add()
         busy_before = self.nvme_device.busy_seconds() + self.sata_device.busy_seconds()
+        if count <= 0:
+            return [], 0.0
 
         def nvme_stream() -> Iterator[Record]:
             tier = self.performance_tier
             idx = tier.partitions.index(tier.partition_for_key(start))
             pos = start
             for partition in tier.partitions[idx:]:
-                for key in partition.keys_in_range(pos, None):
-                    try:
-                        rec, _ = partition.get(key)
-                    except CorruptionError:
-                        self._on_corrupt_resident(key)
-                        continue
-                    if rec is not None:
-                        yield rec
+                while True:
+                    keys = partition.keys_in_range(pos, None, SCAN_CHUNK)
+                    for key in keys:
+                        try:
+                            rec, _ = partition.get(key)
+                        except CorruptionError:
+                            self._on_corrupt_resident(key)
+                            continue
+                        if rec is not None:
+                            yield rec
+                    if len(keys) < SCAN_CHUNK:
+                        break
+                    pos = keys[-1] + b"\x00"
                 pos = partition.key_range.hi
                 if pos is None:
                     break
 
-        sata_records, _ = self.capacity_tier.scan(
-            start, count * 2, prefetch=self.config.enable_scan_prefetch
-        )
+        batch = count * 2
+        prefetch = self.config.enable_scan_prefetch
+        sata_records, _ = self.capacity_tier.scan(start, batch, prefetch=prefetch)
+
+        def sata_stream() -> Iterator[Record]:
+            records = sata_records
+            while True:
+                yield from records
+                if len(records) < batch:
+                    return
+                records, _ = self.capacity_tier.scan(
+                    records[-1].key + b"\x00", batch, prefetch=prefetch
+                )
 
         out: list[tuple[bytes, bytes]] = []
-        merged = merge_records(
-            [nvme_stream(), iter(sata_records)], drop_tombstones=True
-        )
+        merged = merge_records([nvme_stream(), sata_stream()], drop_tombstones=True)
         for rec in merged:
             out.append((rec.key, rec.value))
             if len(out) >= count:

@@ -14,6 +14,7 @@ import numpy as np
 from repro.common.records import Record
 from repro.lsm.semi.compaction import PreemptiveBlockCompactor
 from repro.lsm.semi.levels import SemiLevelConfig, SemiLevels
+from repro.lsm.semi.semisstable import SemiBlock, SemiSSTable
 from repro.simssd.fs import SimFilesystem
 from repro.simssd.traffic import TrafficKind
 
@@ -119,64 +120,77 @@ class CapacityTier:
 
         Default mode is index-directed sequential point queries (§4.2): the
         candidate keys come from the tables' index blocks (kept on NVMe, no
-        data-tier I/O), then each record is fetched with one block read.
-        Blocks being unordered between themselves is why HyperDB gains
-        nothing on YCSB-E relative to a strictly sorted LSM.
+        data-tier I/O), then each record is fetched with one block read
+        through the index entry of the table that listed it.  Blocks being
+        unordered between themselves is why HyperDB gains nothing on YCSB-E
+        relative to a strictly sorted LSM.
+
+        Index cost per overlapping table is a bisect plus the keys taken
+        (:meth:`SemiSSTable.keys_from`), not the table's size.  Each level
+        lists at most ``count + 16`` candidates; a level that fills that
+        quota knows nothing past its last listed key, so candidates are
+        trusted only up to the smallest such key (the *bound*).  When
+        tombstones leave fewer than ``count`` live records below it, the
+        scan lists again from just past the bound.  Without tombstones the
+        ``count``-th live candidate always lies below the bound.
 
         ``prefetch=True`` enables the paper's *future-work* optimization:
         the blocks a scan will touch are identified up front from the index
         and fetched per-table as coalesced sequential runs.
         """
         device_before = self.fs.device.busy_seconds()
-        want = count + 16  # slack for tombstones
-        # key -> shallowest level holding it (the authoritative version).
-        owner: dict[bytes, int] = {}
-        for level_no in range(self.levels.num_levels, 0, -1):
-            tables = sorted(
-                (
-                    t
-                    for t in self.levels.tables_overlapping(level_no, start, None)
-                    if t.num_valid_records > 0
-                ),
-                key=lambda t: t.declared_range.lo,
-            )
-            got = 0
-            for t in tables:
-                for key in t.keys_from(start, want - got):
-                    owner[key] = level_no  # shallower levels overwrite
-                    got += 1
-                if got >= want:
-                    break
-        keys = sorted(owner)
-        if prefetch:
-            self._prefetch_scan_blocks(keys, owner, kind)
         out: list[Record] = []
-        for key in keys:
-            table = self.levels.table_for_key(owner[key], key)
-            rec, _ = table.get(key, kind, self.cache)
-            if rec is None or rec.is_tombstone:
-                continue
-            out.append(rec)
-            if len(out) >= count:
+        while len(out) < count:
+            owner, bound = self._scan_candidates(start, count - len(out) + 16)
+            keys = sorted(owner)
+            if prefetch:
+                self._prefetch_scan_blocks(keys, owner, kind)
+            for key in keys:
+                if bound is not None and key > bound:
+                    break
+                rec, _ = owner[key].read_indexed(key, kind, self.cache)
+                if rec.is_tombstone:
+                    continue
+                out.append(rec)
+                if len(out) >= count:
+                    break
+            if bound is None:
                 break
+            start = bound + b"\x00"
         return out, self.fs.device.busy_seconds() - device_before
+
+    def _scan_candidates(
+        self, start: bytes, want: int
+    ) -> tuple[dict[bytes, SemiSSTable], Optional[bytes]]:
+        """Up to ``want`` keys >= ``start`` from each level's index, mapped
+        to the shallowest table listing them (the authoritative version),
+        and the bound up to which that map is complete (``None``: every
+        level was listed to its end)."""
+        owner: dict[bytes, SemiSSTable] = {}
+        bound: Optional[bytes] = None
+        for level_no in range(self.levels.num_levels, 0, -1):
+            got = 0
+            for t in self.levels.tables_from(level_no, start):
+                keys = t.keys_from(start, want - got)
+                for key in keys:
+                    owner[key] = t  # shallower levels overwrite
+                got += len(keys)
+                if got >= want:
+                    if bound is None or keys[-1] < bound:
+                        bound = keys[-1]
+                    break
+        return owner, bound
 
     def _prefetch_scan_blocks(self, keys, owner, kind) -> None:
         """Bulk-read every block the scan will touch into the page cache."""
         if self.cache is None:
             return  # nowhere to stage prefetched blocks
-        by_table: dict[int, tuple] = {}
+        by_table: dict[SemiSSTable, dict[int, SemiBlock]] = {}
         for key in keys:
-            table = self.levels.table_for_key(owner[key], key)
-            entry = table._key_map.get(key)
-            if entry is None:
-                continue
-            block = table._blocks_by_id[entry[0]]
-            tid = id(table)
-            if tid not in by_table:
-                by_table[tid] = (table, {})
-            by_table[tid][1][block.block_id] = block
-        for table, blocks in by_table.values():
+            table = owner[key]
+            block = table._blocks_by_id[table._key_map[key][0]]
+            by_table.setdefault(table, {})[block.block_id] = block
+        for table, blocks in by_table.items():
             table.read_blocks_bulk(list(blocks.values()), kind, self.cache)
 
     # --------------------------------------------------------- accounting

@@ -160,6 +160,17 @@ class SemiLevels:
             if t.declared_range.overlaps(KeyRange(lo, hi))
         ]
 
+    def tables_from(self, level_no: int, key: bytes) -> Iterator[SemiSSTable]:
+        """Non-empty tables at ``level_no`` from the one owning ``key``
+        onward, in key order: the tables a range scan from ``key`` visits."""
+        lvl = self.level(level_no)
+        tables = lvl.tables
+        first = max(0, bisect_right(lvl.boundaries, key) - 1)
+        for segment in range(first, len(lvl.boundaries)):
+            table = tables.get(segment)
+            if table is not None and table.num_valid_records > 0:
+                yield table
+
     def all_tables(self) -> Iterator[SemiSSTable]:
         for lvl in self._levels.values():
             yield from lvl.tables.values()

@@ -19,6 +19,7 @@ larger than its live payload — :attr:`SemiSSTable.dirty_ratio` and
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -92,6 +93,7 @@ class SemiSSTable:
         # key -> (block_id, seqno, record_size); the table's "index block".
         self._key_map: dict[bytes, tuple[int, int, int]] = {}
         self._blocks_by_id: dict[int, SemiBlock] = {}
+        self._reset_sorted_keys()
         self._next_block_id = 0
         self._bloom = BloomFilter(4096, bits_per_key)
         self._valid_bytes = 0
@@ -167,8 +169,40 @@ class SemiSSTable:
 
     def keys_from(self, start: bytes, limit: int) -> list[bytes]:
         """Up to ``limit`` sorted valid keys >= ``start`` — an index-only
-        operation (the key list lives in the index blocks)."""
-        return sorted(k for k in self._key_map if k >= start)[:limit]
+        operation (the key list lives in the index blocks).
+
+        Costs a bisect plus the keys walked: the sorted key list is rebuilt
+        only after new keys were installed, or once the removed keys it
+        still holds (skipped here) outnumber the valid ones.
+        """
+        out: list[bytes] = []
+        if limit <= 0:
+            return out
+        key_map = self._key_map
+        if self._sorted_dirty or self._sorted_stale > len(key_map):
+            self._sorted_keys = sorted(key_map)
+            self._sorted_dirty = False
+            self._sorted_stale = 0
+        keys = self._sorted_keys
+        for i in range(bisect_left(keys, start), len(keys)):
+            key = keys[i]
+            if key in key_map:
+                out.append(key)
+                if len(out) == limit:
+                    break
+        return out
+
+    def keys_in_block(self, block_id: int) -> list[bytes]:
+        """Valid keys whose index entry points at block ``block_id``."""
+        return [k for k, e in self._key_map.items() if e[0] == block_id]
+
+    def _reset_sorted_keys(self) -> None:
+        #: Sorted index keys for :meth:`keys_from`.  It may hold keys
+        #: removed since it was built (``_sorted_stale`` counts them) but
+        #: misses none of ``_key_map`` unless ``_sorted_dirty`` is set.
+        self._sorted_keys: list[bytes] = []
+        self._sorted_dirty = False
+        self._sorted_stale = 0
 
     def key_seqno(self, key: bytes) -> Optional[int]:
         """Sequence number of the table's valid copy of ``key``, if any."""
@@ -187,6 +221,14 @@ class SemiSSTable:
         """Point lookup.  Returns ``(record_or_none, service_time)``."""
         if key not in self._bloom:
             return None, 0.0
+        return self.read_indexed(key, kind, cache)
+
+    def read_indexed(
+        self, key: bytes, kind: TrafficKind = TrafficKind.FOREGROUND, cache=None
+    ) -> tuple[Optional[Record], float]:
+        """Point lookup through the index alone, without the bloom gate —
+        for callers that took ``key`` from this table's index (the bloom
+        holds every indexed key, so it could not reject it)."""
         entry = self._key_map.get(key)
         if entry is None:
             return None, 0.0
@@ -441,6 +483,8 @@ class SemiSSTable:
             old = key_map.get(rec.key)
             if old is not None:
                 self._retire_entry(rec.key, old)
+            else:
+                self._sorted_dirty = True
             key_map[rec.key] = (block.block_id, rec.seqno, rec.encoded_size)
             self._valid_bytes += rec.encoded_size
         self._bloom.add_many([rec.key for rec in chunk])
@@ -455,6 +499,7 @@ class SemiSSTable:
         if entry is None:
             return False
         self._retire_entry(key, entry)
+        self._sorted_stale += 1
         return True
 
     def extract_block_records(
@@ -494,9 +539,11 @@ class SemiSSTable:
         """Drop every index entry still pointing at ``block``."""
         if block.valid_count == 0:
             return
-        for key in [k for k, e in self._key_map.items() if e[0] == block.block_id]:
+        keys = self.keys_in_block(block.block_id)
+        for key in keys:
             entry = self._key_map.pop(key)
             self._valid_bytes -= entry[2]
+        self._sorted_stale += len(keys)
         block.valid_count = 0
 
     def _rewrite_index(self, kind: TrafficKind) -> float:
@@ -526,6 +573,7 @@ class SemiSSTable:
         self.blocks = []
         self._blocks_by_id = {}
         self._key_map = {}
+        self._reset_sorted_keys()
         self._next_block_id = 0
         self._valid_bytes = 0
         self._bloom = BloomFilter(max(1024, len(live)), self.bits_per_key)
@@ -541,6 +589,7 @@ class SemiSSTable:
         self.blocks = []
         self._blocks_by_id = {}
         self._key_map = {}
+        self._reset_sorted_keys()
         self._valid_bytes = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

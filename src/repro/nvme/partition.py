@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import zlib
 from bisect import bisect_right
+from itertools import islice
 from typing import Callable, Optional
 
 from repro import obs
@@ -388,9 +389,15 @@ class Partition:
         self.index.delete(key)
         return True
 
-    def keys_in_range(self, start: bytes, end: Optional[bytes]) -> list[bytes]:
-        """Index-only ordered key listing (used by scans)."""
-        return [k for k, _ in self.index.items(start=start, end=end)]
+    def keys_in_range(
+        self, start: bytes, end: Optional[bytes], limit: Optional[int] = None
+    ) -> list[bytes]:
+        """Index-only ordered key listing (used by scans): the keys in
+        ``[start, end)``, at most ``limit`` of them when given."""
+        items = self.index.items(start=start, end=end)
+        if limit is not None:
+            items = islice(items, limit)
+        return [k for k, _ in items]
 
     # ---------------------------------------------------------- promotion
 
