@@ -330,6 +330,8 @@ class PrismDBStore(KVStore):
         return value, service
 
     def scan(self, start: bytes, count: int):
+        if count <= 0:
+            return [], 0.0
         busy_before = self.nvme_device.busy_seconds() + self.sata_device.busy_seconds()
         from repro.lsm.iterator import merge_records
 
@@ -339,12 +341,23 @@ class PrismDBStore(KVStore):
                 if rec is not None:
                     yield rec
 
-        sata_pairs, _ = self.tree.scan(start, count * 2)
-        sata_records = iter(
-            Record(k, v, 0) for k, v in sata_pairs
-        )
+        # The capacity side is fetched ``2 * count`` records at a time; a
+        # further batch is fetched only once the merge has consumed a full
+        # one, which happens only when NVMe tombstones shadow its records.
+        batch = count * 2
+        sata_pairs, _ = self.tree.scan(start, batch)
+
+        def sata_stream():
+            pairs = sata_pairs
+            while True:
+                for k, v in pairs:
+                    yield Record(k, v, 0)
+                if len(pairs) < batch:
+                    return
+                pairs, _ = self.tree.scan(pairs[-1][0] + b"\x00", batch)
+
         out = []
-        for rec in merge_records([slab_stream(), sata_records], drop_tombstones=True):
+        for rec in merge_records([slab_stream(), sata_stream()], drop_tombstones=True):
             out.append((rec.key, rec.value))
             if len(out) >= count:
                 break

@@ -7,16 +7,24 @@ Format of one record::
 Flags bit 0 marks a tombstone (deletions are out-of-band of the value).
 
 A data block is a concatenation of records in key order followed by a 4-byte
-CRC32 checksum.  Decoding verifies the checksum and raises
+CRC32 checksum.  :func:`verify_block` checks it and raises
 :class:`CorruptionError` on mismatch, which the failure-injection tests rely
-on.
+on; every read of a block from media verifies the whole block, however few
+of its records the reader then decodes.
+
+Both table formats keep a :class:`CachedBlock` per data block in the block
+cache.  A point read that misses the cache verifies the block and decodes
+only the record it returns (:func:`record_at` at the offset a semi-SSTable
+index entry stores, or :func:`find_record`'s header walk in an SSTable).
+The block's full record list is built on the first cache hit, or by a
+reader that needs every record, through the memoized :func:`decode_block`.
 """
 
 from __future__ import annotations
 
 import struct
 import zlib
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Optional
 
 from repro.common.errors import CorruptionError
 from repro.common.records import Record
@@ -62,8 +70,25 @@ _DECODE_ONE_MEMO: dict[tuple[bytes, int], Record] = {}
 _DECODE_ONE_MEMO_MAX = 8192
 
 
+def record_at(data: bytes, offset: int) -> Record:
+    """Decode the single record starting at ``offset`` of ``data``."""
+    end = len(data)
+    if offset + _HEADER.size > end:
+        raise CorruptionError(f"truncated record header at offset {offset}")
+    seqno, flags, klen, vlen = _HEADER.unpack_from(data, offset)
+    body = offset + _HEADER.size
+    if body + klen + vlen > end:
+        raise CorruptionError(f"truncated record body at offset {body}")
+    return Record(
+        data[body : body + klen],
+        data[body + klen : body + klen + vlen],
+        seqno,
+        deleted=bool(flags & _FLAG_TOMBSTONE),
+    )
+
+
 def decode_one(data: bytes, offset: int = 0) -> Record:
-    """Decode the single record starting at ``offset``.
+    """Decode the single record starting at ``offset``, memoized.
 
     Equivalent to the first item of :func:`decode_records` but without the
     generator machinery; the NVMe slot read path decodes exactly one record
@@ -73,19 +98,7 @@ def decode_one(data: bytes, offset: int = 0) -> Record:
     rec = _DECODE_ONE_MEMO.get(memo_key)
     if rec is not None:
         return rec
-    end = len(data)
-    if offset + _HEADER.size > end:
-        raise CorruptionError(f"truncated record header at offset {offset}")
-    seqno, flags, klen, vlen = _HEADER.unpack_from(data, offset)
-    body = offset + _HEADER.size
-    if body + klen + vlen > end:
-        raise CorruptionError(f"truncated record body at offset {body}")
-    rec = Record(
-        data[body : body + klen],
-        data[body + klen : body + klen + vlen],
-        seqno,
-        deleted=bool(flags & _FLAG_TOMBSTONE),
-    )
+    rec = record_at(data, offset)
     if len(_DECODE_ONE_MEMO) >= _DECODE_ONE_MEMO_MAX:
         _DECODE_ONE_MEMO.clear()
     _DECODE_ONE_MEMO[memo_key] = rec
@@ -140,20 +153,25 @@ _DECODE_MEMO: dict[bytes, list[Record]] = {}
 _DECODE_MEMO_MAX = 1024
 
 
+def verify_block(block: bytes) -> None:
+    """Check a data block's CRC32 footer; raise :class:`CorruptionError`
+    if the block is too short to hold one or the payload does not match."""
+    if len(block) < CHECKSUM_SIZE:
+        raise CorruptionError("block shorter than its checksum")
+    (expected,) = struct.unpack_from(">I", block, len(block) - CHECKSUM_SIZE)
+    actual = zlib.crc32(memoryview(block)[:-CHECKSUM_SIZE])
+    if actual != expected:
+        raise CorruptionError(
+            f"block checksum mismatch: stored={expected:#x} computed={actual:#x}"
+        )
+
+
 def decode_block(block: bytes) -> list[Record]:
     """Decode a checksummed data block, verifying integrity."""
     cached = _DECODE_MEMO.get(block)
     if cached is not None:
         return cached
-    if len(block) < CHECKSUM_SIZE:
-        raise CorruptionError("block shorter than its checksum")
-    payload, footer = block[:-CHECKSUM_SIZE], block[-CHECKSUM_SIZE:]
-    (expected,) = struct.unpack(">I", footer)
-    actual = zlib.crc32(payload)
-    if actual != expected:
-        raise CorruptionError(
-            f"block checksum mismatch: stored={expected:#x} computed={actual:#x}"
-        )
+    verify_block(block)
     # Inline loop rather than list(decode_records(...)): block decodes run
     # on every table read and the generator resumption overhead is
     # measurable there.
@@ -162,19 +180,19 @@ def decode_block(block: bytes) -> list[Record]:
     unpack_from = _HEADER.unpack_from
     hsize = _HEADER.size
     pos = 0
-    end = len(payload)
+    end = len(block) - CHECKSUM_SIZE
     while pos < end:
         if pos + hsize > end:
             raise CorruptionError(f"truncated record header at offset {pos}")
-        seqno, flags, klen, vlen = unpack_from(payload, pos)
+        seqno, flags, klen, vlen = unpack_from(block, pos)
         body = pos + hsize
         pos = body + klen + vlen
         if pos > end:
             raise CorruptionError(f"truncated record body at offset {body}")
         append(
             Record(
-                payload[body : body + klen],
-                payload[body + klen : pos],
+                block[body : body + klen],
+                block[body + klen : pos],
                 seqno,
                 deleted=bool(flags & _FLAG_TOMBSTONE),
             )
@@ -183,6 +201,53 @@ def decode_block(block: bytes) -> list[Record]:
         _DECODE_MEMO.clear()
     _DECODE_MEMO[block] = records
     return records
+
+
+def find_record(block: bytes, key: bytes) -> Optional[Record]:
+    """The record for ``key`` in a verified block whose records are sorted
+    by key, or ``None``.  Walks the record headers and stops at the first
+    key >= ``key``; only that record is decoded."""
+    unpack_from = _HEADER.unpack_from
+    hsize = _HEADER.size
+    pos = 0
+    end = len(block) - CHECKSUM_SIZE
+    while pos < end:
+        if pos + hsize > end:
+            raise CorruptionError(f"truncated record header at offset {pos}")
+        _, _, klen, vlen = unpack_from(block, pos)
+        body = pos + hsize
+        found = block[body : body + klen]
+        if found >= key:
+            return record_at(block, pos) if found == key else None
+        pos = body + klen + vlen
+    return None
+
+
+class CachedBlock:
+    """A block-cache entry: one verified data block and, once a reader
+    needs it, its decoded record list (and that list's keys)."""
+
+    __slots__ = ("raw", "_records", "_keys")
+
+    def __init__(self, raw: bytes, records: Optional[list[Record]] = None) -> None:
+        self.raw = raw
+        self._records = records
+        self._keys: Optional[list[bytes]] = None
+
+    @property
+    def records(self) -> list[Record]:
+        records = self._records
+        if records is None:
+            records = self._records = decode_block(self.raw)
+        return records
+
+    @property
+    def keys(self) -> list[bytes]:
+        """The records' keys, in order, for bisecting."""
+        keys = self._keys
+        if keys is None:
+            keys = self._keys = [r.key for r in self.records]
+        return keys
 
 
 def record_encoded_size(rec: Record) -> int:

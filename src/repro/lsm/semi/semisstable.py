@@ -29,7 +29,14 @@ from repro.common.bloom import BloomFilter
 from repro.common.errors import CorruptionError, ReproError
 from repro.common.keys import KeyRange, ranges_overlap
 from repro.common.records import Record
-from repro.lsm.blocks import decode_block, encode_block, record_encoded_size
+from repro.lsm.blocks import (
+    CachedBlock,
+    decode_block,
+    encode_block,
+    record_at,
+    record_encoded_size,
+    verify_block,
+)
 from repro.simssd.fs import SimFile, SimFilesystem
 from repro.simssd.traffic import TrafficKind
 
@@ -90,8 +97,10 @@ class SemiSSTable:
         self.bits_per_key = bits_per_key
         self.file: SimFile = fs.create(f"semi_{table_id:08d}")
         self.blocks: list[SemiBlock] = []
-        # key -> (block_id, seqno, record_size); the table's "index block".
-        self._key_map: dict[bytes, tuple[int, int, int]] = {}
+        # key -> (block_id, seqno, record_size, offset, ordinal): the
+        # table's "index block".  ``offset`` is the record's byte offset in
+        # its block and ``ordinal`` its position among the block's records.
+        self._key_map: dict[bytes, tuple[int, int, int, int, int]] = {}
         self._blocks_by_id: dict[int, SemiBlock] = {}
         self._reset_sorted_keys()
         self._next_block_id = 0
@@ -228,31 +237,47 @@ class SemiSSTable:
     ) -> tuple[Optional[Record], float]:
         """Point lookup through the index alone, without the bloom gate —
         for callers that took ``key`` from this table's index (the bloom
-        holds every indexed key, so it could not reject it)."""
+        holds every indexed key, so it could not reject it).
+
+        A cached block yields the record by its ordinal in the decoded
+        list; a block read from media is verified whole, then only the
+        record at the indexed offset is decoded.
+        """
         entry = self._key_map.get(key)
         if entry is None:
             return None, 0.0
         block = self._blocks_by_id[entry[0]]
-        records, service = self._read_block(block, kind, cache)
-        for rec in records:
-            if rec.key == key:
-                return rec, service
-        raise ReproError(
-            f"index says key {key!r} is in block {block.block_id} but it is not"
-        )
+        cache_key = self._cache_key(block)
+        cached = cache.get(cache_key) if cache is not None else None
+        if cached is not None:
+            rec, service = cached.records[entry[4]], 0.0
+        else:
+            raw, service = self.file.read(block.offset, block.length, kind)
+            verify_block(raw)
+            rec = record_at(raw, entry[3])
+            if cache is not None:
+                cache.put(cache_key, CachedBlock(raw), charge=block.length)
+        if rec.key != key:
+            raise ReproError(
+                f"index says key {key!r} is in block {block.block_id} but it is not"
+            )
+        return rec, service
+
+    def _cache_key(self, block: SemiBlock) -> tuple:
+        return ("semiblk", self.file.name, self._generation, block.offset)
 
     def _read_block(
         self, block: SemiBlock, kind: TrafficKind, cache=None
     ) -> tuple[list[Record], float]:
-        cache_key = ("semiblk", self.file.name, self._generation, block.offset)
+        cache_key = self._cache_key(block)
         if cache is not None:
             cached = cache.get(cache_key)
             if cached is not None:
-                return cached, 0.0
+                return cached.records, 0.0
         raw, service = self.file.read(block.offset, block.length, kind)
         records = decode_block(raw)
         if cache is not None:
-            cache.put(cache_key, records, charge=block.length)
+            cache.put(cache_key, CachedBlock(raw, records), charge=block.length)
         return records, service
 
     def read_blocks_bulk(
@@ -269,10 +294,10 @@ class SemiSSTable:
         pending: list[SemiBlock] = []
         service = 0.0
         for block in sorted(blocks, key=lambda b: b.offset):
-            cache_key = ("semiblk", self.file.name, self._generation, block.offset)
+            cache_key = self._cache_key(block)
             cached = cache.get(cache_key) if cache is not None else None
             if cached is not None:
-                out[block.block_id] = cached
+                out[block.block_id] = cached.records
                 continue
             pending.append(block)
         # Coalesce adjacent blocks into sequential runs.
@@ -296,8 +321,8 @@ class SemiSSTable:
                 out[block.block_id] = records
                 if cache is not None:
                     cache.put(
-                        ("semiblk", self.file.name, self._generation, block.offset),
-                        records,
+                        self._cache_key(block),
+                        CachedBlock(chunk, records),
                         charge=block.length,
                     )
         return out, service
@@ -479,17 +504,21 @@ class SemiSSTable:
         self.blocks.append(block)
         self._blocks_by_id[block.block_id] = block
         key_map = self._key_map
-        for rec in chunk:
+        block_id = block.block_id
+        offset = 0
+        for ordinal, rec in enumerate(chunk):
             old = key_map.get(rec.key)
             if old is not None:
                 self._retire_entry(rec.key, old)
             else:
                 self._sorted_dirty = True
-            key_map[rec.key] = (block.block_id, rec.seqno, rec.encoded_size)
-            self._valid_bytes += rec.encoded_size
+            size = rec.encoded_size
+            key_map[rec.key] = (block_id, rec.seqno, size, offset, ordinal)
+            self._valid_bytes += size
+            offset += size
         self._bloom.add_many([rec.key for rec in chunk])
 
-    def _retire_entry(self, key: bytes, entry: tuple[int, int, int]) -> None:
+    def _retire_entry(self, key: bytes, entry: tuple) -> None:
         old_block = self._blocks_by_id[entry[0]]
         old_block.valid_count -= 1
         self._valid_bytes -= entry[2]

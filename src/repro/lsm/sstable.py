@@ -22,7 +22,14 @@ from repro.common.cache import LRUCache
 from repro.common.errors import ReproError
 from repro.common.keys import KeyRange
 from repro.common.records import Record
-from repro.lsm.blocks import decode_block, encode_block, record_encoded_size
+from repro.lsm.blocks import (
+    CachedBlock,
+    decode_block,
+    encode_block,
+    find_record,
+    record_encoded_size,
+    verify_block,
+)
 from repro.simssd.fs import SimFile, SimFilesystem
 from repro.simssd.traffic import TrafficKind
 
@@ -101,30 +108,6 @@ class SSTable:
         h = self.handles[idx]
         return h if key <= h.last_key else None
 
-    def _load_block(
-        self,
-        handle: BlockHandle,
-        kind: TrafficKind,
-        cache: Optional[LRUCache],
-    ) -> tuple[list[Record], list[bytes], float]:
-        """Read and decode one data block plus its sorted key array.
-
-        The key array is cached alongside the records so point lookups can
-        binary-search without touching every record object per get.
-        """
-        cache_key = ("blk", self.file.name, handle.offset)
-        if cache is not None:
-            cached = cache.get(cache_key)
-            if cached is not None:
-                records, keys = cached
-                return records, keys, 0.0
-        raw, service = self.file.read(handle.offset, handle.length, kind)
-        records = decode_block(raw)
-        keys = [r.key for r in records]
-        if cache is not None:
-            cache.put(cache_key, (records, keys), charge=handle.length)
-        return records, keys, service
-
     def read_block(
         self,
         handle: BlockHandle,
@@ -132,7 +115,15 @@ class SSTable:
         cache: Optional[LRUCache] = None,
     ) -> tuple[list[Record], float]:
         """Read and decode one data block, optionally through the page cache."""
-        records, _, service = self._load_block(handle, kind, cache)
+        cache_key = ("blk", self.file.name, handle.offset)
+        if cache is not None:
+            cached = cache.get(cache_key)
+            if cached is not None:
+                return cached.records, 0.0
+        raw, service = self.file.read(handle.offset, handle.length, kind)
+        records = decode_block(raw)
+        if cache is not None:
+            cache.put(cache_key, CachedBlock(raw, records), charge=handle.length)
         return records, service
 
     def get(
@@ -144,14 +135,7 @@ class SSTable:
         """Point lookup.  Returns ``(record_or_none, service_time)``."""
         if key not in self.bloom:
             return None, 0.0
-        handle = self._find_handle(key)
-        if handle is None:
-            return None, 0.0
-        records, keys, service = self._load_block(handle, kind, cache)
-        idx = bisect_left(keys, key)
-        if idx < len(keys) and keys[idx] == key:
-            return records[idx], service
-        return None, service
+        return self.get_nobloom(key, kind, cache)
 
     def get_nobloom(
         self,
@@ -161,15 +145,29 @@ class SSTable:
     ) -> tuple[Optional[Record], float]:
         """:meth:`get` minus the bloom probe — for batch readers that
         already probed the filter columnar
-        (:meth:`repro.common.bloom.BloomFilter.contains_many`)."""
+        (:meth:`repro.common.bloom.BloomFilter.contains_many`).
+
+        A cached block is bisected through its key list; a block read from
+        media is verified whole, then only the wanted record is decoded.
+        """
         handle = self._find_handle(key)
         if handle is None:
             return None, 0.0
-        records, keys, service = self._load_block(handle, kind, cache)
-        idx = bisect_left(keys, key)
-        if idx < len(keys) and keys[idx] == key:
-            return records[idx], service
-        return None, service
+        cache_key = ("blk", self.file.name, handle.offset)
+        if cache is not None:
+            cached = cache.get(cache_key)
+            if cached is not None:
+                keys = cached.keys
+                idx = bisect_left(keys, key)
+                if idx < len(keys) and keys[idx] == key:
+                    return cached.records[idx], 0.0
+                return None, 0.0
+        raw, service = self.file.read(handle.offset, handle.length, kind)
+        verify_block(raw)
+        rec = find_record(raw, key)
+        if cache is not None:
+            cache.put(cache_key, CachedBlock(raw), charge=handle.length)
+        return rec, service
 
     def iter_records(
         self,

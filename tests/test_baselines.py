@@ -233,6 +233,43 @@ class TestPrismDBStore:
         assert store.promotions > 0
         assert store.slabs.index.get(k(5)) is not None
 
+    def _tombstone_window_store(self):
+        """Keys 0-2999 written (most demoted to SATA), then 100-179 deleted:
+        the tombstones stay on NVMe, shadowing live SATA copies."""
+        store = self.make_store()
+        oracle = {}
+        for i in range(3000):
+            store.put(k(i), b"x" * 500)
+            oracle[k(i)] = b"x" * 500
+        for i in range(100, 180):
+            store.delete(k(i))
+            del oracle[k(i)]
+        assert store.demoted_objects > 0
+        assert all(store.slabs.index.get(k(i)) is not None for i in range(100, 180))
+        return store, oracle
+
+    def test_scan_reads_live_sata_keys_behind_nvme_tombstones(self):
+        store, oracle = self._tombstone_window_store()
+        got, _ = store.scan(k(100), 50)
+        want = sorted(key for key in oracle if key >= k(100))[:50]
+        assert [key for key, _ in got] == want
+        assert all(value == oracle[key] for key, value in got)
+
+    def test_scan_matches_dict_oracle(self):
+        store, oracle = self._tombstone_window_store()
+        rng = np.random.default_rng(5)
+        for i in rng.choice(3000, 40, replace=False):
+            store.put(k(int(i)), b"n" * 64)
+            oracle[k(int(i))] = b"n" * 64
+        live = sorted(oracle)
+        for _ in range(30):
+            start = k(int(rng.integers(0, 3100)))
+            count = int(rng.integers(1, 120))
+            got, _ = store.scan(start, count)
+            want = [key for key in live if key >= start][:count]
+            assert [key for key, _ in got] == want
+            assert all(value == oracle[key] for key, value in got)
+
     def test_wal_options_rejected(self):
         from repro.common.errors import ReproError
 
