@@ -10,7 +10,7 @@ from __future__ import annotations
 import abc
 from typing import Optional
 
-from repro.common.errors import DeviceOfflineError
+from repro.common.errors import CorruptionError, DeviceOfflineError
 from repro.simssd.device import SimDevice
 
 
@@ -55,7 +55,8 @@ class KVStore(abc.ABC):
     # per-device busy seconds *after* that op, in ``devices()`` order —
     # the runner differences consecutive rows to attribute latency.
     # ``capture_errors=True`` converts a ``DeviceOfflineError`` on an op
-    # into that op's result slot instead of aborting the batch.
+    # (and, for reads, a ``CorruptionError``) into that op's result slot
+    # instead of aborting the batch.
 
     def put_many(
         self, keys, values, busy_out=None, capture_errors=False
@@ -83,7 +84,10 @@ class KVStore(abc.ABC):
         for key in keys:
             try:
                 out.append(self.get(key))
-            except DeviceOfflineError as exc:
+            except (DeviceOfflineError, CorruptionError) as exc:
+                # A captured CorruptionError is a *detected* corrupt read
+                # (checksum failure with no healthy copy left): the caller
+                # sees the detection instead of silently wrong bytes.
                 if not capture_errors:
                     raise
                 out.append(exc)

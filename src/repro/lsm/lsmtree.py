@@ -414,17 +414,6 @@ class LSMTree:
                 busy_hook()
         return out
 
-    def delete_many(self, keys, busy_hook=None) -> list[float]:
-        """Batched :meth:`delete`: tombstones through the fused write loop."""
-        write = self._write
-        out = []
-        for key in keys:
-            self._seqno += 1
-            out.append(write(Record.tombstone(key, self._seqno)))
-            if busy_hook is not None:
-                busy_hook()
-        return out
-
     def get_many(self, keys, busy_hook=None) -> list:
         """Batched :meth:`get` with a columnar resolution pass.
 

@@ -120,9 +120,6 @@ class RunResult:
 class WorkloadRunner:
     """Loads a store and executes YCSB workloads against it."""
 
-    #: Recognized execution modes (see ``mode`` below).
-    MODES = ("per-op", "batched", "columnar")
-
     def __init__(
         self,
         store: KVStore,
@@ -131,31 +128,17 @@ class WorkloadRunner:
         clients: int = 8,
         background_threads: int = 8,
         seed: int = 0,
-        batched: bool = True,
-        mode: Optional[str] = None,
+        mode: str = "columnar",
     ) -> None:
         if record_count <= 0:
             raise ValueError(f"record_count must be positive, got {record_count}")
+        # The runner has one engine; ``mode`` only names it, for callers
+        # that pass it explicitly.
+        if mode != "columnar":
+            raise ValueError(
+                f"unknown runner mode {mode!r}; the only engine is 'columnar'"
+            )
         self.store = store
-        #: Execution mode for the run phase.  All three produce
-        #: bit-identical results (same calls in the same order, same float
-        #: accumulation), so the choice is purely a hot-path dispatch
-        #: optimization:
-        #:
-        #: * ``per-op`` — one Python call chain per op (the traceable
-        #:   reference path; forced whenever per-op tracing is installed);
-        #: * ``batched`` — contiguous same-type op slices carried through
-        #:   the store's batch API, per-op attribution loop;
-        #: * ``columnar`` — batched dispatch plus a vectorized epilogue:
-        #:   busy-delta attribution, queueing shares, and histogram fills
-        #:   are numpy array passes over the whole op stream.
-        if mode is None:
-            mode = "batched" if batched else "per-op"
-        if mode not in self.MODES:
-            raise ValueError(f"unknown runner mode {mode!r}; have {self.MODES}")
-        self.mode = mode
-        #: Back-compat flag: True for any batch-dispatch mode.
-        self.batched = mode != "per-op"
         self.record_count = record_count
         self.value_size = value_size
         self.clients = clients
@@ -184,20 +167,13 @@ class WorkloadRunner:
             ids = np.arange(self.record_count)
             if shuffle:
                 self.rng.shuffle(ids)
+            pool = self._value_pool
+            vs = self.value_size
+            starts = ((ids * 131) % (len(pool) - vs)).tolist()
+            values = [pool[s : s + vs] for s in starts]
             total = 0.0
-            if self.batched:
-                keys = encode_keys(ids)
-                pool = self._value_pool
-                vs = self.value_size
-                starts = ((ids * 131) % (len(pool) - vs)).tolist()
-                values = [pool[s : s + vs] for s in starts]
-                for s in self.store.put_many(keys, values):
-                    total += s
-            else:
-                for kid in ids:
-                    total += self.store.put(
-                        encode_key(int(kid)), self._value(int(kid))
-                    )
+            for s in self.store.put_many(encode_keys(ids), values):
+                total += s
             self.store.finalize()
         return total
 
@@ -251,31 +227,11 @@ class WorkloadRunner:
         ops = (OpType.READ, OpType.UPDATE, OpType.INSERT, OpType.SCAN, OpType.RMW)
         choices = self.rng.choice(len(ops), size=operations, p=mix)
 
-        service_samples: dict[OpType, list[float]] = {op: [] for op in ops}
-        #: Per-op device shares, parallel to service_samples[op]: which
-        #: device served the op's foreground I/O (for queue attribution).
-        device_shares: dict[OpType, list[dict[str, float]]] = {op: [] for op in ops}
         device_names = list(devices)
-        device_objs = list(devices.values())
-        choice_list: list[int] = choices.tolist()  # python ints iterate faster
-
         trace = obs.RECORDER
-        col_state = None
-        if self.mode == "columnar" and trace is None:
-            cpu_total, fg_service_total, col_state = self._run_columnar(
-                spec, ops, choice_list, generator, device_objs,
-            )
-        elif self.batched and trace is None:
-            cpu_total, fg_service_total = self._run_batched(
-                spec, ops, choice_list, generator,
-                device_names, device_objs, service_samples, device_shares,
-            )
-        else:
-            cpu_total, fg_service_total = self._run_per_op(
-                spec, ops, choice_list, generator,
-                device_names, device_objs, service_samples, device_shares,
-                trace,
-            )
+        cpu_total, fg_service_total, col_state = self._run_columnar(
+            spec, ops, choices.tolist(), generator, list(devices.values()), trace,
+        )
 
         self.store.finalize()
         snap_after = {name: d.traffic.snapshot() for name, d in devices.items()}
@@ -315,14 +271,9 @@ class WorkloadRunner:
             )
             for name in traffic
         }
-        if col_state is not None:
-            latency_by_op = self._latencies_columnar(
-                ops, col_state, device_names, rho_by_device
-            )
-        else:
-            latency_by_op = self._latencies(
-                service_samples, device_shares, rho_by_device
-            )
+        latency_by_op = self._latencies_columnar(
+            ops, col_state, device_names, rho_by_device
+        )
 
         utilization = {}
         for name, dev in devices.items():
@@ -344,226 +295,28 @@ class WorkloadRunner:
             space_used={n: d.used_bytes for n, d in devices.items()},
         )
 
-    # --------------------------------------------------- execution engines
-
-    def _run_per_op(
-        self, spec, ops, choice_list, generator,
-        device_names, device_objs, service_samples, device_shares, trace,
-    ) -> tuple[float, float]:
-        """One Python call chain per op (the traceable reference path)."""
-        cpu_total = 0.0
-        fg_service_total = 0.0
-        # Request keys are drawn in contiguous batches between inserts (the
-        # only ops that change the generator's item count): vectorized draws
-        # that consume the RNG stream exactly as per-op draws would.
-        insert_code = ops.index(OpType.INSERT)
-        n_choices = len(choice_list)
-        key_buf: "np.ndarray | list[int]" = []
-        buf_pos = 0
-        for i, op_idx in enumerate(choice_list):
-            op = ops[op_idx]
-            busy_before = [d.busy_seconds() for d in device_objs]
-            if trace is not None:
-                op_t0 = sum(busy_before)
-                trace.begin("op", t=op_t0, op=op.value)
-            cpu = CPU_PER_OP
-            if op is OpType.INSERT:
-                kid = self.record_count + self._insert_count
-                self._insert_count += 1
-                generator.set_item_count(self.record_count + self._insert_count)
-                service = self.store.put(encode_key(kid), self._value(kid))
-                cpu += CPU_PER_BYTE * self.value_size
-            else:
-                if buf_pos >= len(key_buf):
-                    j = i
-                    while j < n_choices and choice_list[j] != insert_code:
-                        j += 1
-                    key_buf = generator.next_many(j - i)
-                    buf_pos = 0
-                kid = int(key_buf[buf_pos])
-                buf_pos += 1
-                key = encode_key(kid)
-                if op is OpType.READ:
-                    _, service = self.store.get(key)
-                elif op is OpType.UPDATE:
-                    service = self.store.put(key, self._value(kid))
-                    cpu += CPU_PER_BYTE * self.value_size
-                elif op is OpType.SCAN:
-                    pairs, service = self.store.scan(key, spec.scan_length)
-                    cpu += CPU_PER_BYTE * sum(len(v) for _, v in pairs)
-                else:  # RMW
-                    _, s1 = self.store.get(key)
-                    s2 = self.store.put(key, self._value(kid))
-                    service = s1 + s2
-                    cpu += CPU_PER_BYTE * self.value_size
-            service_samples[op].append(service + cpu)
-            # Attribute the op's foreground service to the devices whose
-            # busy time moved during it; background work triggered inside
-            # the call inflates the deltas, so shares are normalized to the
-            # foreground service.
-            shares: dict[str, float] = {}
-            total_delta = 0.0
-            for k, d in enumerate(device_objs):
-                delta = d.busy_seconds() - busy_before[k]
-                if delta > 0:
-                    shares[device_names[k]] = delta
-                    total_delta += delta
-            if trace is not None:
-                # Busy time is monotonic, so the positive deltas summed into
-                # total_delta are exactly how far the devices moved.
-                trace.end(
-                    "op", t=op_t0 + total_delta, op=op.value,
-                    service_s=service + cpu,
-                )
-            if total_delta > 0 and service > 0:
-                scale_f = min(1.0, service / total_delta)
-                if scale_f < 1.0:
-                    shares = {n: v * scale_f for n, v in shares.items()}
-            else:
-                shares = {}
-            device_shares[op].append(shares)
-            cpu_total += cpu
-            fg_service_total += service
-        return cpu_total, fg_service_total
-
-    def _run_batched(
-        self, spec, ops, choice_list, generator,
-        device_names, device_objs, service_samples, device_shares,
-    ) -> tuple[float, float]:
-        """Slice the op stream into contiguous same-type runs and carry each
-        through the store's batch API.
-
-        Latency attribution moves to batch granularity: the store reports
-        cumulative per-device busy seconds after every op (``busy_out``
-        rows), and consecutive rows are differenced here — the same floats
-        the per-op path reads via ``busy_seconds()`` snapshots, so shares,
-        samples, and totals are bit-identical to :meth:`_run_per_op`.
-        """
-        store = self.store
-        insert_code = ops.index(OpType.INSERT)
-        n_choices = len(choice_list)
-        n_devices = len(device_objs)
-        value_cpu = CPU_PER_OP + CPU_PER_BYTE * self.value_size
-        cpu_total = 0.0
-        fg_service_total = 0.0
-        key_buf: "np.ndarray | list[int]" = []
-        buf_pos = 0
-        row_prev = tuple(d.busy_seconds() for d in device_objs)
-        i = 0
-        while i < n_choices:
-            op_idx = choice_list[i]
-            op = ops[op_idx]
-            if op is OpType.INSERT:
-                kid = self.record_count + self._insert_count
-                self._insert_count += 1
-                generator.set_item_count(self.record_count + self._insert_count)
-                service = store.put(encode_key(kid), self._value(kid))
-                rows = [tuple(d.busy_seconds() for d in device_objs)]
-                services = [service]
-                cpus = None
-                op_cpu = value_cpu
-                count = 1
-                j = i + 1
-            else:
-                j = i + 1
-                while j < n_choices and choice_list[j] == op_idx:
-                    j += 1
-                count = j - i
-                # Draw the slice's keys, replicating the per-op refill
-                # points exactly: the buffer refills at the same op indexes
-                # with the same draw sizes, so the RNG stream is identical.
-                kids: list[int] = []
-                while len(kids) < count:
-                    if buf_pos >= len(key_buf):
-                        k0 = i + len(kids)
-                        jj = k0
-                        while jj < n_choices and choice_list[jj] != insert_code:
-                            jj += 1
-                        key_buf = generator.next_many(jj - k0)
-                        buf_pos = 0
-                    take = min(count - len(kids), len(key_buf) - buf_pos)
-                    kids.extend(
-                        int(x) for x in key_buf[buf_pos : buf_pos + take]
-                    )
-                    buf_pos += take
-                keys = encode_keys(kids)
-                rows = []
-                cpus = None
-                if op is OpType.READ:
-                    results = store.get_many(keys, busy_out=rows)
-                    services = [s for _, s in results]
-                    op_cpu = CPU_PER_OP
-                elif op is OpType.UPDATE:
-                    pool = self._value_pool
-                    vs = self.value_size
-                    m = len(pool) - vs
-                    values = [
-                        pool[s0 : s0 + vs] for s0 in [(k * 131) % m for k in kids]
-                    ]
-                    services = store.put_many(keys, values, busy_out=rows)
-                    op_cpu = value_cpu
-                elif op is OpType.SCAN:
-                    services = []
-                    cpus = []
-                    for key in keys:
-                        pairs, service = store.scan(key, spec.scan_length)
-                        services.append(service)
-                        cpus.append(
-                            CPU_PER_OP
-                            + CPU_PER_BYTE * sum(len(v) for _, v in pairs)
-                        )
-                        rows.append(tuple(d.busy_seconds() for d in device_objs))
-                    op_cpu = 0.0
-                else:  # RMW
-                    services = []
-                    for kid, key in zip(kids, keys):
-                        _, s1 = store.get(key)
-                        s2 = store.put(key, self._value(kid))
-                        services.append(s1 + s2)
-                        rows.append(tuple(d.busy_seconds() for d in device_objs))
-                    op_cpu = value_cpu
-            samples = service_samples[op]
-            shares_list = device_shares[op]
-            for idx in range(count):
-                service = services[idx]
-                row = rows[idx]
-                shares: dict[str, float] = {}
-                total_delta = 0.0
-                for k in range(n_devices):
-                    delta = row[k] - row_prev[k]
-                    if delta > 0:
-                        shares[device_names[k]] = delta
-                        total_delta += delta
-                row_prev = row
-                if total_delta > 0 and service > 0:
-                    scale_f = min(1.0, service / total_delta)
-                    if scale_f < 1.0:
-                        shares = {n: v * scale_f for n, v in shares.items()}
-                else:
-                    shares = {}
-                cpu = cpus[idx] if cpus is not None else op_cpu
-                samples.append(service + cpu)
-                shares_list.append(shares)
-                cpu_total += cpu
-                fg_service_total += service
-            i = j
-        return cpu_total, fg_service_total
+    # ------------------------------------------------------------ engine
 
     def _run_columnar(
-        self, spec, ops, choice_list, generator, device_objs,
+        self, spec, ops, choice_list, generator, device_objs, trace,
     ) -> tuple[float, float, tuple]:
-        """Batched dispatch with a fully columnar epilogue.
+        """Carry the op stream through the store in same-type slices.
 
-        The op stream is sliced into contiguous same-type runs exactly
-        like :meth:`_run_batched` (same store calls, same RNG draws), but
-        per-op attribution is deferred: the loop only collects flat,
-        op-ordered columns — busy rows, service times, CPU costs — and
-        :meth:`_latencies_columnar` turns them into shares, queueing
-        penalties, and histograms with numpy array passes.  Every array
-        operation reproduces the scalar path's float math bit-for-bit
-        (elementwise IEEE ops are the same ops; sequential accumulation
-        uses ``np.add.accumulate``, which is left-to-right like ``+=``),
-        so results are byte-identical to the other modes.
+        Contiguous runs of one op type go through the store's batch API
+        (``get_many``/``put_many``); inserts run one at a time, since each
+        grows the key space the next draw samples from.  The loop only
+        collects flat, op-ordered columns — busy rows (cumulative
+        per-device busy seconds after each op), service times, CPU costs —
+        and :meth:`_latencies_columnar` turns them into shares, queueing
+        penalties, and histograms with numpy array passes.  Sequential
+        totals use ``np.add.accumulate``, which sums left to right like
+        ``+=``.
+
+        With a recorder installed, each slice is one ``op`` span carrying
+        the op type and ``count``, bounded by the summed busy time before
+        and after it.  The stores' batch paths fall back to per-op device
+        charging while a recorder is installed, so the events inside a
+        span are the ones scalar calls would emit, in the same order.
         """
         store = self.store
         insert_code = ops.index(OpType.INSERT)
@@ -579,6 +332,16 @@ class WorkloadRunner:
         while i < n_choices:
             op_idx = choice_list[i]
             op = ops[op_idx]
+            j = i + 1
+            if op is not OpType.INSERT:
+                while j < n_choices and choice_list[j] == op_idx:
+                    j += 1
+            count = j - i
+            if trace is not None:
+                trace.begin(
+                    "op", t=sum(rows[-1] if rows else row0), op=op.value,
+                    count=count,
+                )
             if op is OpType.INSERT:
                 kid = self.record_count + self._insert_count
                 self._insert_count += 1
@@ -586,59 +349,61 @@ class WorkloadRunner:
                 services_flat.append(store.put(encode_key(kid), self._value(kid)))
                 rows.append(tuple(d.busy_seconds() for d in device_objs))
                 cpus_flat.append(value_cpu)
-                i += 1
-                continue
-            j = i + 1
-            while j < n_choices and choice_list[j] == op_idx:
-                j += 1
-            count = j - i
-            # Same refill points and draw sizes as the per-op path: the
-            # RNG stream is identical (see _run_batched).
-            kids: list[int] = []
-            while len(kids) < count:
-                if buf_pos >= len(key_buf):
-                    k0 = i + len(kids)
-                    jj = k0
-                    while jj < n_choices and choice_list[jj] != insert_code:
-                        jj += 1
-                    key_buf = generator.next_many(jj - k0)
-                    buf_pos = 0
-                take = min(count - len(kids), len(key_buf) - buf_pos)
-                kids.extend(int(x) for x in key_buf[buf_pos : buf_pos + take])
-                buf_pos += take
-            keys = encode_keys(kids)
-            if op is OpType.READ:
-                results = store.get_many(keys, busy_out=rows)
-                services_flat.extend(s for _, s in results)
-                cpus_flat.extend([CPU_PER_OP] * count)
-            elif op is OpType.UPDATE:
-                pool = self._value_pool
-                vs = self.value_size
-                m = len(pool) - vs
-                values = [
-                    pool[s0 : s0 + vs] for s0 in [(k * 131) % m for k in kids]
-                ]
-                services_flat.extend(store.put_many(keys, values, busy_out=rows))
-                cpus_flat.extend([value_cpu] * count)
-            elif op is OpType.SCAN:
-                for key in keys:
-                    pairs, service = store.scan(key, spec.scan_length)
-                    services_flat.append(service)
-                    cpus_flat.append(
-                        CPU_PER_OP + CPU_PER_BYTE * sum(len(v) for _, v in pairs)
+            else:
+                # Keys are drawn in contiguous batches between inserts (the
+                # only ops that change the generator's item count); a slice
+                # takes its keys from the current batch, refilling it once
+                # the batch is used up.
+                kids: list[int] = []
+                while len(kids) < count:
+                    if buf_pos >= len(key_buf):
+                        k0 = i + len(kids)
+                        jj = k0
+                        while jj < n_choices and choice_list[jj] != insert_code:
+                            jj += 1
+                        key_buf = generator.next_many(jj - k0)
+                        buf_pos = 0
+                    take = min(count - len(kids), len(key_buf) - buf_pos)
+                    kids.extend(int(x) for x in key_buf[buf_pos : buf_pos + take])
+                    buf_pos += take
+                keys = encode_keys(kids)
+                if op is OpType.READ:
+                    results = store.get_many(keys, busy_out=rows)
+                    services_flat.extend(s for _, s in results)
+                    cpus_flat.extend([CPU_PER_OP] * count)
+                elif op is OpType.UPDATE:
+                    pool = self._value_pool
+                    vs = self.value_size
+                    m = len(pool) - vs
+                    values = [
+                        pool[s0 : s0 + vs] for s0 in [(k * 131) % m for k in kids]
+                    ]
+                    services_flat.extend(
+                        store.put_many(keys, values, busy_out=rows)
                     )
-                    rows.append(tuple(d.busy_seconds() for d in device_objs))
-            else:  # RMW
-                for kid, key in zip(kids, keys):
-                    _, s1 = store.get(key)
-                    s2 = store.put(key, self._value(kid))
-                    services_flat.append(s1 + s2)
-                    cpus_flat.append(value_cpu)
-                    rows.append(tuple(d.busy_seconds() for d in device_objs))
+                    cpus_flat.extend([value_cpu] * count)
+                elif op is OpType.SCAN:
+                    for key in keys:
+                        pairs, service = store.scan(key, spec.scan_length)
+                        services_flat.append(service)
+                        cpus_flat.append(
+                            CPU_PER_OP
+                            + CPU_PER_BYTE * sum(len(v) for _, v in pairs)
+                        )
+                        rows.append(tuple(d.busy_seconds() for d in device_objs))
+                else:  # RMW
+                    for kid, key in zip(kids, keys):
+                        _, s1 = store.get(key)
+                        s2 = store.put(key, self._value(kid))
+                        services_flat.append(s1 + s2)
+                        cpus_flat.append(value_cpu)
+                        rows.append(tuple(d.busy_seconds() for d in device_objs))
+            if trace is not None:
+                trace.end("op", t=sum(rows[-1]), op=op.value, count=count)
             i = j
         service_arr = np.asarray(services_flat, dtype=np.float64)
         cpu_arr = np.asarray(cpus_flat, dtype=np.float64)
-        # Sequential left-to-right totals, bit-identical to scalar `+=`.
+        # Sequential left-to-right totals (``np.add.accumulate``, like `+=`).
         cpu_total = float(np.add.accumulate(cpu_arr)[-1]) if len(cpu_arr) else 0.0
         fg_service_total = (
             float(np.add.accumulate(service_arr)[-1]) if len(service_arr) else 0.0
@@ -649,13 +414,16 @@ class WorkloadRunner:
     def _latencies_columnar(
         self, ops, col_state, device_names, rho_by_device,
     ) -> Dict[str, LatencyHistogram]:
-        """Vectorized twin of :meth:`_latencies` over the flat op columns.
+        """Service times + sampled queueing delay → latency histograms.
 
-        Shares, scaling, and queueing sums are elementwise array ops whose
-        per-op float math is identical to the scalar path: deltas are the
-        same subtractions, ``min(1.0, service/total)`` the same divide and
-        compare, and the per-device share×factor sum accumulates in device
-        order starting from zero, exactly like the scalar ``sum(...)``.
+        Each op's foreground service is attributed to the devices whose
+        busy time moved during it (the difference of consecutive busy
+        rows); background work triggered inside the call inflates those
+        deltas, so shares are scaled down to the foreground service.  The
+        op's queueing penalty uses the utilization of the devices it
+        actually touched: an NVMe-only put does not wait behind SATA
+        compaction, but a read that dips into the capacity tier does.
+        Per-device sums accumulate in device order starting from zero.
         """
         codes, service_arr, cpu_arr, row0, rows = col_state
         n = len(service_arr)
@@ -668,15 +436,15 @@ class WorkloadRunner:
         deltas = rows_arr[1:] - rows_arr[:-1]
         shares = np.where(deltas > 0.0, deltas, 0.0)
         # Row-wise total of positive deltas, accumulated in device order
-        # from 0.0 (scalar: ``total_delta = 0.0; total_delta += delta``).
+        # from 0.0.
         total = np.zeros(n, dtype=np.float64)
         for k in range(shares.shape[1]):
             total = total + shares[:, k]
         apply_mask = (total > 0.0) & (service_arr > 0.0)
         safe_total = np.where(apply_mask, total, 1.0)
         scale = np.minimum(1.0, service_arr / safe_total)
-        # scalar: shares unscaled when scale == 1.0; ``x * 1.0 == x``
-        # bitwise for finite x, so one multiply covers both branches.
+        # Shares are only ever scaled down; ``x * 1.0 == x`` bitwise for
+        # finite x, so one multiply covers scaled and unscaled rows.
         shares = np.where(apply_mask[:, None], shares * scale[:, None], 0.0)
         factor = {d: r / (1.0 - r) for d, r in rho_by_device.items()}
         queued = np.zeros(n, dtype=np.float64)
@@ -757,37 +525,6 @@ class WorkloadRunner:
             bound = transfer + fg_lat / self.clients + bg_lat / bg_threads
             device_bound = max(device_bound, bound)
         return max(client_bound, device_bound, 1e-9)
-
-    def _latencies(
-        self,
-        samples: dict[OpType, list[float]],
-        device_shares: dict[OpType, list[dict[str, float]]],
-        rho_by_device: Dict[str, float],
-    ) -> Dict[str, LatencyHistogram]:
-        """Service times + sampled queueing delay → latency histograms.
-
-        Each op's queueing penalty uses the utilization of the devices it
-        actually touched: an NVMe-only put does not wait behind SATA
-        compaction, but a read that dips into the capacity tier does.
-        """
-        factor = {n: r / (1.0 - r) for n, r in rho_by_device.items()}
-        out: Dict[str, LatencyHistogram] = {}
-        for op, values in samples.items():
-            if not values:
-                continue
-            arr = np.asarray(values)
-            queued_service = np.array(
-                [
-                    sum(share * factor.get(name, 0.0) for name, share in shares.items())
-                    for shares in device_shares[op]
-                ]
-            )
-            noise = self.rng.exponential(1.0, size=len(arr))
-            latencies = arr + queued_service * noise
-            hist = LatencyHistogram(initial_capacity=max(16, len(arr)))
-            hist.record_many(latencies)
-            out[op.value] = hist
-        return out
 
 
 def _busy_seconds(lanes: Dict[str, Dict[str, float]]) -> float:

@@ -1,13 +1,15 @@
 """Columnar execution equivalence (the columnar contract).
 
-The columnar mode vectorizes pure work — bloom probes, candidate-table
+The workload runner vectorizes pure work — bloom probes, candidate-table
 resolution, latency attribution, grouped device charging — but every I/O
-still lands in op order.  These tests enforce the contract end to end:
-the e2e digest (traffic ledgers, utilization, space, raw latency
-samples) must be byte-identical across ``per-op``, ``batched``, and
-``columnar`` dispatch for both engines, across all YCSB mixes, and with
-a fault injector and health windows active (where the guarded devices
-must fall back to the scalar paths without skipping any charge).
+still lands in op order.  The run's e2e digest (traffic ledgers,
+utilization, space, raw latency samples) is pinned for both engines,
+across all YCSB mixes, and with a fault injector and health windows
+active (where the guarded devices must fall back to the scalar paths
+without skipping any charge).  The pinned values are the ones the
+per-op, batched and columnar engines all produced before the runner was
+reduced to the columnar one.  The store-level half of the contract —
+batch calls equal scalar calls — is in tests/test_batched_pipeline.py.
 """
 
 from __future__ import annotations
@@ -44,10 +46,27 @@ SCALE_KW = dict(
     seed=13,
 )
 
-MODES = ("per-op", "batched", "columnar")
+#: ``_run_digest`` of one load + run at ``SCALE_KW``, per (store, mix):
+#: the value the per-op, batched and columnar engines all produced.
+RUN_DIGESTS = {
+    ("hyperdb", "A"): "36d3ac6222cdee2d5745defb2ca328140f94571c1129027d79ecc1cad4950367",
+    ("hyperdb", "B"): "18501d21c84d08cc81a1363b427fa87d030c9fa83252ae6e4728e0ee1d7b5b2e",
+    ("hyperdb", "C"): "e52d2c6860bf13d3226d04e230d9b7f66856c44d5c63f8f8bc2a9523c6606778",
+    ("hyperdb", "D"): "b5f69cad4814f02f29701259faad018cd331346c08994cf0b59eb4f926de460a",
+    ("hyperdb", "E"): "3396249566db4bb6d06f46f1cac6464d50f9509ce4ae1c77bfb916bc4532cf04",
+    ("hyperdb", "F"): "9c532a04fba373fe67b601c1ff22edea6a9c9b4eaaaf8b5f77cc6fd3ff535237",
+    ("rocksdb", "A"): "0bcc1bed685aacb725bada968d00141b8ee3a1af4cb60b420c9264eb6d080f0a",
+    ("rocksdb", "B"): "be87e00e98d489354d777423e4228318a05ae0dcaaf9f47d05509abf71a2ea7a",
+    ("rocksdb", "C"): "79110ed61d1f402296e15c38d14fd0b5dcbb4463a7c01e594d651f7fdf8f782c",
+    ("rocksdb", "D"): "8414cea0bee63f20ae9c7d6eb3c6cb8dd030709f2b4f63614851e8fb02169008",
+    ("rocksdb", "E"): "9ee76e7af7474dd4d2662599e0ae176e37ae112832c9dad2329feb54aa69a59f",
+    ("rocksdb", "F"): "527c34f1da5f784a932a1db7f2c95d5a25ce6f0682e8de103c62c73fd17ed51e",
+    ("faulted-hyperdb", "A"): "1583be34cba452d52e7932798586c2b817973b0c3100566c740e29e4b90fe187",
+    ("faulted-hyperdb", "B"): "1644121f0098fee8a6ae69dda94443e25beae86db8fb2de6743363121f04e5c5",
+}
 
 
-def _digest_for(store_factory, workload: str, mode: str):
+def _digest_for(store_factory, workload: str) -> str:
     scale = BenchScale(**SCALE_KW)
     store = store_factory(scale)
     runner = WorkloadRunner(
@@ -57,43 +76,37 @@ def _digest_for(store_factory, workload: str, mode: str):
         clients=scale.clients,
         background_threads=scale.background_threads,
         seed=scale.seed,
-        mode=mode,
     )
     load_total = runner.load()
     result = runner.run(YCSB_WORKLOADS[workload], SCALE_KW["operations"])
-    counters = None
-    stats = getattr(store, "stats", None)
-    if stats is not None:
-        counters = [(name, c.value) for name, c in stats.counters.items()]
-    return _run_digest(load_total, result), counters
-
-
-def _assert_all_modes_equal(store_factory, workload: str) -> None:
-    digests = {}
-    counter_views = {}
-    for mode in MODES:
-        digests[mode], counter_views[mode] = _digest_for(
-            store_factory, workload, mode
-        )
-    assert digests["batched"] == digests["per-op"], f"{workload}: batched != per-op"
-    assert digests["columnar"] == digests["per-op"], f"{workload}: columnar != per-op"
-    # Counter registries must agree in value AND insertion order: fused
-    # paths create counters lazily exactly where the per-op path does.
-    assert counter_views["batched"] == counter_views["per-op"]
-    assert counter_views["columnar"] == counter_views["per-op"]
+    return _run_digest(load_total, result)
 
 
 # ----------------------------------------------------- unguarded, all mixes
+#
+# "Three modes identical": equal to the digest the three engines agreed on.
 
 
 @pytest.mark.parametrize("workload", sorted(YCSB_WORKLOADS))
 def test_hyperdb_three_modes_identical(workload):
-    _assert_all_modes_equal(lambda s: build_store("hyperdb", s), workload)
+    digest = _digest_for(lambda s: build_store("hyperdb", s), workload)
+    assert digest == RUN_DIGESTS["hyperdb", workload]
 
 
 @pytest.mark.parametrize("workload", sorted(YCSB_WORKLOADS))
 def test_rocksdb_three_modes_identical(workload):
-    _assert_all_modes_equal(lambda s: build_store("rocksdb", s), workload)
+    digest = _digest_for(lambda s: build_store("rocksdb", s), workload)
+    assert digest == RUN_DIGESTS["rocksdb", workload]
+
+
+def test_runner_has_one_engine():
+    store = build_store("hyperdb", BenchScale(**SCALE_KW))
+    WorkloadRunner(store, record_count=10, mode="columnar")
+    for mode in ("per-op", "batched", ""):
+        with pytest.raises(ValueError, match="unknown runner mode"):
+            WorkloadRunner(store, record_count=10, mode=mode)
+    with pytest.raises(TypeError):
+        WorkloadRunner(store, record_count=10, batched=False)
 
 
 # ------------------------------------------- guarded: injector + windows
@@ -101,8 +114,8 @@ def test_rocksdb_three_modes_identical(workload):
 
 def _faulted_hyperdb(scale: BenchScale) -> HyperDB:
     # Brownout both tiers mid-run: the guarded devices force every batch
-    # entry point onto its per-op fallback, and window boundaries must
-    # land between ops identically in all three modes.
+    # entry point onto its per-op fallback, so window boundaries land
+    # between ops exactly as scalar calls would place them.
     windows = (
         HealthWindow("nvme-sim", HealthState.BROWNOUT, 200, 900, 4.0),
         HealthWindow("sata-sim", HealthState.BROWNOUT, 400, 1600, 8.0),
@@ -132,7 +145,8 @@ def _faulted_hyperdb(scale: BenchScale) -> HyperDB:
 
 @pytest.mark.parametrize("workload", ["A", "B"])
 def test_hyperdb_three_modes_identical_under_faults(workload):
-    _assert_all_modes_equal(_faulted_hyperdb, workload)
+    digest = _digest_for(_faulted_hyperdb, workload)
+    assert digest == RUN_DIGESTS["faulted-hyperdb", workload]
 
 
 def test_guarded_device_never_skips_charges():

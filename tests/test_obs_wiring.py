@@ -87,6 +87,7 @@ class TestTracingIsInert:
         obs.uninstall()
 
     def test_traced_run_identical_to_untraced(self):
+        # Both runs take the runner's one engine; only the recorder differs.
         _, plain = run_workload()
         obs.install()
         _, traced = run_workload()
@@ -103,6 +104,31 @@ class TestTracingIsInert:
 class TestTracingIsExact:
     def teardown_method(self):
         obs.uninstall()
+
+    def test_op_spans_cover_every_operation(self):
+        """A traced run takes the benchmarked engine: one ``op`` span per
+        same-type slice, whose counts add up to the run's operations."""
+        rec = obs.install(capacity=1 << 19)
+        _, result = run_workload(record_count=1500, ops=900)
+        obs.uninstall()
+        assert rec.dropped == 0
+        begins = [e for e in rec.events() if e.type == "op_begin"]
+        ends = [e for e in rec.events() if e.type == "op_end"]
+        assert len(begins) == len(ends) > 0
+        assert sum(e.data["count"] for e in ends) == result.operations == 900
+        # Slices batch ops: fewer spans than operations.
+        assert len(ends) < result.operations
+        per_op: dict = {}
+        for b, e in zip(begins, ends):
+            assert b.data == e.data
+            assert b.t <= e.t
+            per_op[e.data["op"]] = per_op.get(e.data["op"], 0) + e.data["count"]
+        assert per_op == {
+            op: hist.count for op, hist in result.latency_by_op.items()
+        }
+        # Spans follow each other on the busy-time axis.
+        for prev, nxt in zip(ends, begins[1:]):
+            assert prev.t == nxt.t
 
     def test_lane_totals_match_traffic_ledgers(self):
         rec = obs.install()
