@@ -158,7 +158,7 @@ class _SlabStore:
                 continue
             located.append((key, loc))
             pages.add(loc.page_id)
-        _, service = self.page_store.read_many(sorted(pages), kind)
+        service = self.page_store.read_many(sorted(pages), kind)
         out: list[Record] = []
         for key, loc in located:
             raw = self.page_store.peek(loc.page_id, loc.offset, loc.record_size)

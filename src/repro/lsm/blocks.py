@@ -18,6 +18,10 @@ only the record it returns (:func:`record_at` at the offset a semi-SSTable
 index entry stores, or :func:`find_record`'s header walk in an SSTable).
 The block's full record list is built on the first cache hit, or by a
 reader that needs every record, through the memoized :func:`decode_block`.
+
+An NVMe zone slot holds one record and no checksum of its own (its CRC
+lives in the in-memory index); slot reads decode it with
+:func:`decode_one`, which is not memoized.
 """
 
 from __future__ import annotations
@@ -62,15 +66,7 @@ def decode_records(data: bytes) -> Iterator[Record]:
         yield Record(key, value, seqno, deleted=bool(flags & _FLAG_TOMBSTONE))
 
 
-# Content-keyed memo for single-record decodes (the NVMe slot read
-# path).  Records are never mutated after construction anywhere in the
-# tree, so handing repeat readers of the same payload one shared Record
-# is safe; a corrupted payload can't collide with a memoized key.
-_DECODE_ONE_MEMO: dict[tuple[bytes, int], Record] = {}
-_DECODE_ONE_MEMO_MAX = 8192
-
-
-def record_at(data: bytes, offset: int) -> Record:
+def record_at(data: bytes, offset: int = 0) -> Record:
     """Decode the single record starting at ``offset`` of ``data``."""
     end = len(data)
     if offset + _HEADER.size > end:
@@ -87,22 +83,14 @@ def record_at(data: bytes, offset: int) -> Record:
     )
 
 
-def decode_one(data: bytes, offset: int = 0) -> Record:
-    """Decode the single record starting at ``offset``, memoized.
+#: The NVMe slot decoder (slot reads, maintenance, the scrubber, PrismDB's
+#: slabs): the same single-record decode as :func:`record_at`, under its
+#: own name so span tracing can tell slot decodes from table decodes.
+decode_one = record_at
 
-    Equivalent to the first item of :func:`decode_records` but without the
-    generator machinery; the NVMe slot read path decodes exactly one record
-    per object lookup, so this is a hot path.
-    """
-    memo_key = (data, offset)
-    rec = _DECODE_ONE_MEMO.get(memo_key)
-    if rec is not None:
-        return rec
-    rec = record_at(data, offset)
-    if len(_DECODE_ONE_MEMO) >= _DECODE_ONE_MEMO_MAX:
-        _DECODE_ONE_MEMO.clear()
-    _DECODE_ONE_MEMO[memo_key] = rec
-    return rec
+#: Never filled (slot decodes are not memoized).  ``perfbench/tracing.py``
+#: reads the name to report a memo hit rate, so it stays until it does not.
+_DECODE_ONE_MEMO: dict[tuple[bytes, int], Record] = {}
 
 
 def decode_prefix(data: bytes) -> tuple[list[Record], int, bool]:

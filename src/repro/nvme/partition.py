@@ -20,7 +20,7 @@ from repro.common.errors import CorruptionError, ReproError
 from repro.common.keys import KeyRange
 from repro.common.records import Record
 from repro.hotness.tracker import HotnessTracker
-from repro.lsm.blocks import decode_one
+from repro.lsm.blocks import decode_one, encode_record
 from repro.nvme.config import NVMeConfig
 from repro.nvme.pagestore import PageStore
 from repro.nvme.zone import SlotLocation, Zone
@@ -358,13 +358,20 @@ class Partition:
     def get(
         self, key: bytes, kind: TrafficKind = TrafficKind.FOREGROUND
     ) -> tuple[Optional[Record], float]:
-        """Point lookup.  Returns ``(record_or_none, service_time)``."""
+        """Point lookup.  Returns ``(record_or_none, service_time)``.
+
+        Raises :class:`CorruptionError` when the slot fails its checksum or
+        holds another key's record (a recovered entry, which has no
+        checksum, whose slot was reused after the checkpoint).
+        """
         self._record_access(key)
         loc: Optional[SlotLocation] = self.index.get(key)
         if loc is None:
             return None, 0.0
         zone = self._zone_by_id(loc.zone_id)
         rec, service = zone.read_object(loc, kind, self.cache)
+        if rec.key != key:
+            raise _foreign_record(key, rec.key, loc)
         return rec, service
 
     def contains(self, key: bytes) -> bool:
@@ -468,6 +475,8 @@ class Partition:
             else:
                 try:
                     rec, s_read = self.hot_zone.read_object(loc, kind, self.cache)
+                    if rec.key != key:
+                        raise _foreign_record(key, rec.key, loc)
                 except CorruptionError:
                     self._drop_corrupt_slot(self.hot_zone, key, loc)
                     continue
@@ -493,12 +502,13 @@ class Partition:
 
     # ------------------------------------------------- corruption handling
 
-    def _decode_slot(self, loc: SlotLocation) -> Record:
-        """Decode a resident slot from already-read pages, checksum first.
+    def _slot_bytes(self, loc: SlotLocation) -> bytes:
+        """A resident slot's record bytes from already-read pages,
+        checksum first.
 
         Maintenance paths (demotion collect, zone split) bulk-read a zone's
         pages and then :meth:`~repro.nvme.pagestore.PageStore.peek` each
-        slot for free; this helper adds the same integrity gate as
+        slot for free; this adds the same integrity gate as
         :meth:`repro.nvme.zone.Zone.read_object`, so a latent bit flip in
         the value bytes — structurally invisible to ``decode_one`` —
         surfaces as :class:`CorruptionError` instead of being relocated
@@ -510,7 +520,15 @@ class Partition:
                 f"zone {loc.zone_id} slot checksum mismatch on page "
                 f"{loc.page_id} slot {loc.slot_index}"
             )
-        return decode_one(raw)
+        return raw
+
+    def _decode_slot(self, key: bytes, loc: SlotLocation) -> Record:
+        """Decode ``key``'s resident slot from already-read pages: checksum
+        first (:meth:`_slot_bytes`), then the key check of :meth:`get`."""
+        rec = decode_one(self._slot_bytes(loc))
+        if rec.key != key:
+            raise _foreign_record(key, rec.key, loc)
+        return rec
 
     def _drop_corrupt_slot(self, zone: Zone, key: bytes, loc: SlotLocation) -> None:
         """A maintenance path hit a corrupt slot: drop it, don't crash.
@@ -550,7 +568,7 @@ class Partition:
         """
         with self.page_store.device.health_epoch:
             page_ids = zone.page_ids()
-            _, service = self.page_store.read_many(page_ids, kind)
+            service = self.page_store.read_many(page_ids, kind)
             demoted: list[Record] = []
             keys = sorted(zone.keys)
             # Columnar hotness verdicts for the whole zone up front: no
@@ -568,11 +586,10 @@ class Partition:
                 if loc is None or loc.zone_id != zone.zone_id:
                     continue
                 try:
-                    rec = self._decode_slot(loc)
+                    rec = self._decode_slot(key, loc)
                 except CorruptionError:
                     self._drop_corrupt_slot(zone, key, loc)
                     continue
-                rec = Record(key, rec.value, rec.seqno, rec.deleted)
                 tracker.queries += 1
                 # Hot objects are parked rather than demoted, but only while
                 # the hot zone has budget — otherwise they migrate like
@@ -683,7 +700,10 @@ class Partition:
         left = self._new_zone(KeyRange(zone.key_range.lo, median))
         right = self._new_zone(KeyRange(median, zone.key_range.hi))
 
-        # Resettle: one bulk read of the old zone, rewrites into the halves.
+        # Resettle: one bulk read of the old zone, then each slot's bytes
+        # move into its half unchanged — verified against the index's CRC,
+        # never decoded.  A recovered slot (no CRC) is decoded, key-checked
+        # and re-encoded instead, and so gains a CRC.
         # On the unguarded fastpath the slot writes defer their charges and
         # pay with one grouped delta — no other charge interleaves with the
         # loop (frees and cache invalidations never touch the ledger), so
@@ -692,30 +712,31 @@ class Partition:
         # background queue (no-op on single-queue devices).
         device.begin_background_job(TrafficKind.GC)
         self.page_store.read_many(zone.page_ids(), TrafficKind.GC)
-        fast = device._fastpath and obs.RECORDER is None
+        kind = None if device._fastpath and obs.RECORDER is None else TrafficKind.GC
         pending: list[int] = []
         for key in keys:
             loc: SlotLocation = self.index.get(key)
             if loc is None or loc.zone_id != zone.zone_id:
                 continue
             try:
-                rec = self._decode_slot(loc)
+                if loc.crc is None:
+                    rec = self._decode_slot(key, loc)
+                    payload = encode_record(rec)
+                    seqno, crc = rec.seqno, zlib.crc32(payload)
+                else:
+                    payload = self._slot_bytes(loc)
+                    seqno, crc = loc.seqno, loc.crc
             except CorruptionError:
                 self._drop_corrupt_slot(zone, key, loc)
                 continue
-            rec = Record(key, rec.value, rec.seqno, rec.deleted)
             dest = left if key < median else right
             zone.remove_object(key, loc)
-            if fast:
-                new_loc, npages = dest.write_record_deferred(
-                    rec, loc.slot_size, self.cache, promoted=loc.promoted
-                )
-                pending.append(npages)
-            else:
-                new_loc, _ = dest.write_record(
-                    rec, loc.slot_size, TrafficKind.GC, self.cache,
-                    promoted=loc.promoted,
-                )
+            new_loc, cost = dest.place(
+                key, payload, seqno, crc, loc.slot_size, self.cache,
+                loc.promoted, kind,
+            )
+            if kind is None:
+                pending.append(cost)
             self.index.insert(key, new_loc)
         if pending:
             device.write_pages_batch(pending, TrafficKind.GC, sequential=False)
@@ -723,3 +744,11 @@ class Partition:
         self._zone_bounds[idx : idx + 1] = [left.key_range.lo, median]
         # The split zone is dead: stale locations naming it must fail.
         del self._zone_map[zone.zone_id]
+
+
+def _foreign_record(key: bytes, found: bytes, loc: SlotLocation) -> CorruptionError:
+    """The error for an index entry whose slot holds another key's record."""
+    return CorruptionError(
+        f"zone {loc.zone_id} slot on page {loc.page_id} slot {loc.slot_index} "
+        f"holds key {found!r}, not {key!r}"
+    )

@@ -31,8 +31,9 @@ class SlotLocation:
     in-memory index (the paper's index blocks) — zone slots have no
     per-record checksum on media, so this is what lets readers and the
     scrubber detect latent corruption in slot payloads.  ``None`` means
-    unknown (e.g. right after checkpoint recovery, until a scrub pass
-    re-derives it); verification is skipped then.
+    unknown (e.g. right after checkpoint recovery, until a scrub pass or
+    a zone split re-derives it); verification is skipped then, and readers
+    check the decoded key against the index key instead.
     """
 
     zone_id: int
@@ -195,26 +196,11 @@ class Zone:
         promoted: bool = False,
     ) -> tuple[SlotLocation, float]:
         """Place ``rec`` into a fresh ``slot_size`` slot and write the page."""
-        kr = self.key_range  # inlined ``accepts`` (one call per store write)
-        if kr is not None and not kr.contains(rec.key):
-            raise ReproError(f"key {rec.key!r} outside zone {self.zone_id} range")
         payload = encode_record(rec)
-        if len(payload) > slot_size:
-            raise ReproError(
-                f"record of {len(payload)}B does not fit slot class {slot_size}"
-            )
-        page_id, slot_index = self.allocate_slot(slot_size)
-        loc = SlotLocation(
-            self.zone_id, page_id, slot_index, slot_size,
-            len(payload), rec.seqno, promoted, crc=zlib.crc32(payload),
+        return self.place(
+            rec.key, payload, rec.seqno, zlib.crc32(payload), slot_size,
+            cache, promoted, kind,
         )
-        npages = -(-slot_size // self.page_store.page_size)
-        service = self.page_store.write(
-            page_id, slot_index * slot_size, payload, kind, cache, npages=npages
-        )
-        self.keys[rec.key] = None
-        self.used_bytes += len(payload)
-        return loc, service
 
     def write_record_deferred(
         self,
@@ -230,10 +216,36 @@ class Zone:
         :meth:`repro.simssd.device.SimDevice.write_pages_batch` call.
         Fastpath-only (see :meth:`PageStore.write_nocharge`).
         """
-        kr = self.key_range
-        if kr is not None and not kr.contains(rec.key):
-            raise ReproError(f"key {rec.key!r} outside zone {self.zone_id} range")
         payload = encode_record(rec)
+        return self.place(
+            rec.key, payload, rec.seqno, zlib.crc32(payload), slot_size,
+            cache, promoted,
+        )
+
+    def place(
+        self,
+        key: bytes,
+        payload: bytes,
+        seqno: int,
+        crc: int,
+        slot_size: int,
+        cache=None,
+        promoted: bool = False,
+        kind: Optional[TrafficKind] = None,
+    ) -> tuple[SlotLocation, float]:
+        """Put ``key``'s encoded record ``payload`` into a fresh slot.
+
+        The one slot placement path: record writes land here after
+        encoding, and zone splits move verified slot bytes through it
+        without a decode.  With ``kind`` the page write is charged as that
+        traffic and ``(location, service)`` is returned; without, the bytes
+        are spliced uncharged (fastpath-only, see
+        :meth:`PageStore.write_nocharge`) and ``(location,
+        npages_to_charge)`` is returned.
+        """
+        kr = self.key_range  # inlined ``accepts`` (one call per store write)
+        if kr is not None and not kr.contains(key):
+            raise ReproError(f"key {key!r} outside zone {self.zone_id} range")
         if len(payload) > slot_size:
             raise ReproError(
                 f"record of {len(payload)}B does not fit slot class {slot_size}"
@@ -241,15 +253,21 @@ class Zone:
         page_id, slot_index = self.allocate_slot(slot_size)
         loc = SlotLocation(
             self.zone_id, page_id, slot_index, slot_size,
-            len(payload), rec.seqno, promoted, crc=zlib.crc32(payload),
+            len(payload), seqno, promoted, crc,
         )
         npages = -(-slot_size // self.page_store.page_size)
-        self.page_store.write_nocharge(
-            page_id, slot_index * slot_size, payload, cache, npages=npages
-        )
-        self.keys[rec.key] = None
+        if kind is None:
+            self.page_store.write_nocharge(
+                page_id, slot_index * slot_size, payload, cache, npages=npages
+            )
+            cost = npages
+        else:
+            cost = self.page_store.write(
+                page_id, slot_index * slot_size, payload, kind, cache, npages=npages
+            )
+        self.keys[key] = None
         self.used_bytes += len(payload)
-        return loc, npages
+        return loc, cost
 
     def update_in_place(
         self,

@@ -165,3 +165,73 @@ class TestHyperDBCheckpoint:
         for i in range(0, 3000, 97):
             value, _ = db.get(encode_key(i))
             assert value == b"v" * 300, i
+
+
+def reused_slot_db():
+    """A one-partition HyperDB recovered from a checkpoint whose entry for
+    key 3 names a slot that key 11 took over after the checkpoint."""
+    db = HyperDB(
+        nvme_device(4),
+        nvme_device(64),
+        HyperDBConfig(
+            key_space=KeyRange(encode_key(0), encode_key(1000)),
+            nvme=NVMeConfig(num_partitions=1, initial_zones_per_partition=1),
+        ),
+    )
+    for i in range(10):
+        db.put(encode_key(i), b"v%d" % i)
+    db.checkpoint()
+    part = db.performance_tier.partitions[0]
+    old = part.resident_location(encode_key(3))
+    db.put(encode_key(3), b"x" * 300)  # resized: moves, frees its slot
+    db.put(encode_key(11), b"eleven")  # takes the freed slot
+    new = part.resident_location(encode_key(11))
+    assert (new.page_id, new.slot_index) == (old.page_id, old.slot_index)
+    db.recover()
+    assert part.resident_location(encode_key(3)).crc is None
+    return db
+
+
+class TestRecoveredEntryKeyCheck:
+    def test_get_does_not_serve_another_keys_record(self):
+        db = reused_slot_db()
+        value, _ = db.get(encode_key(3))
+        assert value != b"eleven"
+        assert value is None  # the checkpointed version was overwritten
+        assert encode_key(3) in db.suspect_keys
+        assert db.stats.snapshot()["counters"]["nvme_corrupt_reads"] == 1
+        assert db.performance_tier.partitions[0].resident_location(encode_key(3)) is None
+        for i in (2, 4):
+            assert db.get(encode_key(i))[0] == b"v%d" % i
+
+    def test_scan_does_not_serve_another_keys_record(self):
+        db = reused_slot_db()
+        items, _ = db.scan(encode_key(0), 20)
+        assert [k for k, _ in items] == [encode_key(i) for i in range(10) if i != 3]
+        assert all(v == b"v%d" % i for i, (_, v) in zip(
+            [i for i in range(10) if i != 3], items
+        ))
+        assert encode_key(3) in db.suspect_keys
+
+    def test_hot_zone_eviction_does_not_move_another_keys_record(self):
+        part = make_partition()
+        k3, k11 = encode_key(3), encode_key(11)
+        for i in (3, 5):  # key 5 keeps the hot page alive once key 3 leaves
+            rec = Record(encode_key(i), b"value", i)
+            part.put(rec)
+            part.park_in_hot_zone(rec, part.index.get(rec.key), TrafficKind.MIGRATION)
+        old = part.index.get(k3)
+        assert old.zone_id == part.hot_zone.zone_id and not old.promoted
+        part.checkpoint()
+        part.put(Record(k3, b"x" * 300, 6))  # resized: leaves the hot zone
+        part.promote(Record(k11, b"elven", 7))  # takes the freed hot slot
+        new = part.index.get(k11)
+        assert (new.page_id, new.slot_index) == (old.page_id, old.slot_index)
+        crash(part)
+        part.recover()
+        dropped = []
+        part.on_corrupt_slot = lambda key, promoted: dropped.append(key)
+        part._hot_zone_page_budget = lambda: 0
+        part._evict_hot_zone_if_needed(TrafficKind.MIGRATION)
+        assert dropped == [k3]
+        assert part.index.get(k3) is None
